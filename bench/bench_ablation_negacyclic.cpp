@@ -2,8 +2,10 @@
 //
 // The paper evaluates the forward NTT only. Our documented extension
 // supports INTT (N^{-1} scaling) and the negacyclic post-scale psi^{-i}
-// via the zero-operand C2 trick (DESIGN.md): this bench quantifies the
-// overhead of the extra scaling pass relative to the forward transform.
+// via the zero-operand C2 trick (clear the P buffer, read the atom into S;
+// C2 then leaves w_i * S[i] in P — see RowCentricMapper's scale pass).
+// This bench quantifies the overhead of the extra scaling pass relative to
+// the forward transform.
 #include <iostream>
 
 #include "bench_common.h"

@@ -84,7 +84,10 @@ int main() {
             << TablePrinter::num(backend.total_us(), 2) << " us, "
             << TablePrinter::num(backend.total_energy_nj(), 1) << " nJ\n"
             << "Plan cache: " << backend.plan_cache_misses() << " misses, "
-            << backend.plan_cache_hits() << " hits\n"
+            << backend.plan_cache_hits() << " hits; wave-timing cache: "
+            << backend.wave_timing_misses() << " misses, "
+            << backend.wave_timing_hits() << " hits, "
+            << backend.wave_timing_evictions() << " evictions\n"
             << "Verified against 128-bit CPU schoolbook: "
             << (ok ? "YES" : "NO") << "\n";
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;

@@ -10,49 +10,66 @@ namespace nttpim::dram {
 
 DramArray::DramArray(const DramGeometry& geometry)
     : geometry_(geometry),
-      words_(geometry.rows_per_bank * geometry.words_per_row(), 0) {}
+      rows_(geometry.rows_per_bank),
+      zero_row_(geometry.words_per_row(), 0) {}
 
 std::size_t DramArray::offset(std::uint32_t row, std::uint32_t atom,
                               std::uint32_t lane) const {
   NTTPIM_EXPECT(row < geometry_.rows_per_bank);
   NTTPIM_EXPECT(atom < geometry_.atoms_per_row);
   NTTPIM_EXPECT(lane < geometry_.words_per_atom());
-  return (static_cast<std::size_t>(row) * geometry_.atoms_per_row + atom) *
-             geometry_.words_per_atom() +
-         lane;
+  return static_cast<std::size_t>(atom) * geometry_.words_per_atom() + lane;
+}
+
+const std::uint32_t* DramArray::row_data(std::size_t row) const {
+  const auto& data = rows_[row];
+  return data ? data.get() : zero_row_.data();
+}
+
+std::uint32_t* DramArray::writable_row(std::size_t row) {
+  auto& data = rows_[row];
+  if (!data) {
+    data = std::make_unique<std::uint32_t[]>(zero_row_.size());
+    ++materialised_;
+  }
+  return data.get();
 }
 
 std::uint32_t DramArray::read_word(std::uint32_t row, std::uint32_t atom,
                                    std::uint32_t lane) const {
-  return words_[offset(row, atom, lane)];
+  const std::size_t at = offset(row, atom, lane);  // check before indexing
+  return row_data(row)[at];
 }
 
 void DramArray::write_word(std::uint32_t row, std::uint32_t atom,
                            std::uint32_t lane, std::uint32_t value) {
-  words_[offset(row, atom, lane)] = value;
+  const std::size_t at = offset(row, atom, lane);
+  writable_row(row)[at] = value;
 }
 
 std::span<const std::uint32_t> DramArray::read_atom(std::uint32_t row,
                                                     std::uint32_t atom) const {
-  const std::size_t base = offset(row, atom, 0);
-  return {words_.data() + base, geometry_.words_per_atom()};
+  const std::size_t at = offset(row, atom, 0);
+  return {row_data(row) + at, geometry_.words_per_atom()};
 }
 
 void DramArray::write_atom(std::uint32_t row, std::uint32_t atom,
                            std::span<const std::uint32_t> words) {
   NTTPIM_EXPECT(words.size() == geometry_.words_per_atom());
-  const std::size_t base = offset(row, atom, 0);
-  std::copy(words.begin(), words.end(), words_.begin() + base);
+  const std::size_t at = offset(row, atom, 0);
+  std::copy(words.begin(), words.end(), writable_row(row) + at);
 }
 
 std::uint32_t DramArray::read_linear(std::size_t word_index) const {
-  NTTPIM_EXPECT(word_index < words_.size());
-  return words_[word_index];
+  NTTPIM_EXPECT(word_index < geometry_.words_per_bank());
+  const std::size_t wpr = zero_row_.size();
+  return row_data(word_index / wpr)[word_index % wpr];
 }
 
 void DramArray::write_linear(std::size_t word_index, std::uint32_t value) {
-  NTTPIM_EXPECT(word_index < words_.size());
-  words_[word_index] = value;
+  NTTPIM_EXPECT(word_index < geometry_.words_per_bank());
+  const std::size_t wpr = zero_row_.size();
+  writable_row(word_index / wpr)[word_index % wpr] = value;
 }
 
 // --------------------------------------------------------------- BankTiming

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,12 @@
 namespace nttpim::dram {
 
 /// Functional storage of one bank, addressed by (row, atom, lane).
+///
+/// Row-sparse: a row gets storage on its first write, and every unwritten
+/// row reads as zero through one shared zero row. An NTT touches a handful
+/// of a bank's 32768 rows, so a bank costs its row table plus the rows it
+/// has actually written, not rows_per_bank x words_per_row words of
+/// zero-filled memory.
 class DramArray {
  public:
   explicit DramArray(const DramGeometry& geometry);
@@ -27,7 +34,8 @@ class DramArray {
   void write_word(std::uint32_t row, std::uint32_t atom, std::uint32_t lane,
                   std::uint32_t value);
 
-  /// Whole-atom access (the granularity of CU-read / CU-write).
+  /// Whole-atom access (the granularity of CU-read / CU-write). The span
+  /// stays valid until the next write to `row`.
   std::span<const std::uint32_t> read_atom(std::uint32_t row,
                                            std::uint32_t atom) const;
   void write_atom(std::uint32_t row, std::uint32_t atom,
@@ -38,12 +46,20 @@ class DramArray {
   std::uint32_t read_linear(std::size_t word_index) const;
   void write_linear(std::size_t word_index, std::uint32_t value);
 
+  /// Rows that have storage (written at least once).
+  std::size_t rows_materialised() const noexcept { return materialised_; }
+
  private:
+  /// Word offset of (atom, lane) within a row; checks all three indices.
   std::size_t offset(std::uint32_t row, std::uint32_t atom,
                      std::uint32_t lane) const;
+  const std::uint32_t* row_data(std::size_t row) const;
+  std::uint32_t* writable_row(std::size_t row);
 
   DramGeometry geometry_;
-  std::vector<std::uint32_t> words_;
+  std::vector<std::unique_ptr<std::uint32_t[]>> rows_;  ///< null = all zero
+  std::vector<std::uint32_t> zero_row_;
+  std::size_t materialised_ = 0;
 };
 
 /// Per-bank timing state machine.

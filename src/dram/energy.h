@@ -4,8 +4,9 @@
 // We charge per-event energies for row activation, column transfers and BU
 // operations plus a background (standby/peripheral) power term. Constants
 // are HBM2E-class values calibrated so the N=1024 / Nb=2 point lands in the
-// ballpark of the paper's Table III (see DESIGN.md substitution notes); the
-// *scaling shape* across N, Nb and designs is what the model reproduces.
+// ballpark of the paper's Table III — the paper's own per-event energies are
+// not published, so absolute values are estimates; the *scaling shape*
+// across N, Nb and designs is what the model reproduces.
 #pragma once
 
 #include <cstdint>

@@ -14,12 +14,17 @@
 //    as a single engine pass; items beyond num_banks() are stacked at
 //    disjoint base rows of the same bank and run back-to-back within the
 //    pass (parallel across banks, sequential within one).
+// It also memoizes each wave's engine timing: a pass's RunStats depend only
+// on its per-bank command sequences, which the wave's placements fix, so a
+// repeated wave skips Engine::run and replays only the commands' functional
+// effects (see run_wave).
 // Simulated *hardware* numbers are unchanged by any of this — only host
 // wall-clock drops.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -49,7 +54,13 @@ class PimBackend final : public NttBackend {
     std::uint32_t q = 0;
     bool inverse = false;
     std::uint16_t channel = 0;  ///< command bus serving `bank`
+
+    friend auto operator<=>(const WaveSlot&, const WaveSlot&) = default;
   };
+
+  /// Distinct wave signatures whose engine timing is kept; the least
+  /// recently used one is evicted beyond this.
+  static constexpr std::size_t kWaveTimingCapacity = 4096;
 
   /// `geometry` fixes the simulated device for the backend's lifetime; the
   /// default is the paper's single-bank Table-I configuration. Use
@@ -113,10 +124,11 @@ class PimBackend final : public NttBackend {
   }
 
   /// Counter accessors (total_cycles/engine_passes/plan_cache_*,
-  /// transform_count) follow the NttBackend contract: safe to read while
-  /// another thread drives the backend. Everything else — transforms,
-  /// total_energy_nj(), last_wave(), recorded_waves() — requires the
-  /// backend to be quiescent or externally synchronized.
+  /// wave_timing_*, transform_count) follow the NttBackend contract: safe
+  /// to read while another thread drives the backend. Everything else —
+  /// transforms, total_energy_nj(), last_wave(), last_wave_stats(),
+  /// recorded_waves() — requires the backend to be quiescent or externally
+  /// synchronized.
   std::uint64_t total_cycles() const noexcept {
     return cycles_.load(std::memory_order_relaxed);
   }
@@ -132,6 +144,18 @@ class PimBackend final : public NttBackend {
   }
   std::uint64_t plan_cache_hits() const noexcept { return plans_.hits(); }
   std::uint64_t plan_cache_misses() const noexcept { return plans_.misses(); }
+  /// Wave-timing cache counters (same contract as the plan-cache ones): a
+  /// hit is a pass that reused memoized engine timing, a miss one that ran
+  /// Engine::run, an eviction a signature dropped at capacity.
+  std::uint64_t wave_timing_hits() const noexcept {
+    return wave_timing_hits_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t wave_timing_misses() const noexcept {
+    return wave_timing_misses_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t wave_timing_evictions() const noexcept {
+    return wave_timing_evictions_.load(std::memory_order_relaxed);
+  }
 
   /// One recorded engine pass: where every item ran, and the merged
   /// command trace the engine executed.
@@ -143,6 +167,10 @@ class PimBackend final : public NttBackend {
   /// Item placements of the most recent engine pass (always tracked).
   const std::vector<WaveSlot>& last_wave() const noexcept {
     return wave_log_->last_wave;
+  }
+  /// Run statistics of the most recent engine pass, memoized or simulated.
+  const sim::RunStats& last_wave_stats() const noexcept {
+    return wave_log_->last_stats;
   }
   /// Record every subsequent pass's placements + merged trace (off by
   /// default: costs memory proportional to the traces). Toggling clears
@@ -161,6 +189,11 @@ class PimBackend final : public NttBackend {
   /// One engine pass over `wave` (any item count; banks assigned
   /// round-robin, rows packed per bank).
   void run_wave(std::span<const BatchItem> wave);
+  /// The engine timing memoized for `signature`, or null.
+  const sim::RunStats* find_wave_timing(
+      const std::vector<WaveSlot>& signature);
+  void store_wave_timing(const std::vector<WaveSlot>& signature,
+                         const sim::RunStats& stats);
   std::shared_ptr<const mapping::MappedNtt> plan_for(
       const ntt::NttParams& params, bool inverse_direction,
       std::uint16_t bank, std::uint32_t base_row);
@@ -177,6 +210,22 @@ class PimBackend final : public NttBackend {
   std::atomic<std::uint64_t> cycles_{0};
   double energy_nj_ = 0;  ///< single-driver, quiescent-read (see accessors)
   std::atomic<std::uint64_t> engine_passes_{0};
+  std::atomic<std::uint64_t> wave_timing_hits_{0};
+  std::atomic<std::uint64_t> wave_timing_misses_{0};
+  std::atomic<std::uint64_t> wave_timing_evictions_{0};
+
+  /// Engine timing per wave signature (the pass's placements in item
+  /// order), bounded at kWaveTimingCapacity. Confined to the driving thread
+  /// like plans_.
+  struct WaveTiming {
+    sim::RunStats stats;
+    std::uint64_t last_use = 0;  ///< recency stamp for LRU eviction
+  };
+  struct WaveTimings {
+    std::map<std::vector<WaveSlot>, WaveTiming> entries;
+    std::uint64_t clock = 0;
+  };
+  sync::ThreadConfined<WaveTimings> wave_timings_;
 
   /// Wave capture state mutated by every engine pass. Confined to the
   /// driving thread like the transform methods themselves; the wrapper
@@ -185,6 +234,7 @@ class PimBackend final : public NttBackend {
   /// counter-contract comment documents).
   struct WaveLog {
     std::vector<WaveSlot> last_wave;
+    sim::RunStats last_stats;
     std::vector<RecordedWave> recorded;
     bool record = false;
   };

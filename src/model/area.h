@@ -10,7 +10,8 @@
 //     published increments (synthesis shows decreasing marginal cost as the
 //     tool shares decode/control logic).
 // The Nb = 1 point and buffer increments reproduce Table II; other Nb
-// values inter/extrapolate. See DESIGN.md substitution notes.
+// values inter/extrapolate, so only Table II's published points are
+// reproductions — the rest is this model's estimate.
 #pragma once
 
 #include <cstddef>

@@ -50,7 +50,8 @@ NttRunResult run_ntt_on_pim(const NttRunConfig& config) {
 
   // Host side: place the polynomial (bit-reversed; for the forward
   // negacyclic transform the host folds the psi^i pre-scaling into this
-  // pass, since it touches every word anyway — see DESIGN.md).
+  // pass, since it touches every word anyway — a separate PIM scale pass
+  // would cost a full extra sweep of the polynomial's rows).
   std::vector<std::uint32_t> to_load = input;
   if (config.negacyclic && config.direction == mapping::Direction::kForward)
     ntt::geometric_scale(to_load, params.psi(), 1, params.q());

@@ -92,6 +92,73 @@ TEST(DramArray, OutOfRangeThrows) {
   EXPECT_THROW(array.read_word(4, 0, 0), std::invalid_argument);
   EXPECT_THROW(array.read_word(0, 32, 0), std::invalid_argument);
   EXPECT_THROW(array.read_word(0, 0, 8), std::invalid_argument);
+  // Writes and linear/atom accesses keep the same checks, and a rejected
+  // write materialises nothing.
+  EXPECT_THROW(array.write_word(4, 0, 0, 1), std::invalid_argument);
+  EXPECT_THROW(array.read_atom(0, 32), std::invalid_argument);
+  EXPECT_THROW(array.write_atom(4, 0, std::vector<std::uint32_t>(8, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(array.write_atom(0, 0, std::vector<std::uint32_t>(7, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(array.read_linear(g.words_per_bank()), std::invalid_argument);
+  EXPECT_THROW(array.write_linear(g.words_per_bank(), 1),
+               std::invalid_argument);
+  EXPECT_EQ(array.rows_materialised(), 0u);
+}
+
+TEST(DramArray, FreshBankHasNoRowsAndReadsZero) {
+  const DramGeometry g = hbm2e_geometry();  // full 32768-row bank
+  const DramArray array(g);
+  EXPECT_EQ(array.rows_materialised(), 0u);
+  const std::uint32_t last_row = g.rows_per_bank - 1;
+  EXPECT_EQ(array.read_word(last_row, 31, 7), 0u);
+  EXPECT_EQ(array.read_linear(g.words_per_bank() - 1), 0u);
+  for (const std::uint32_t w : array.read_atom(17, 3)) EXPECT_EQ(w, 0u);
+  EXPECT_EQ(array.rows_materialised(), 0u);  // reads never materialise
+}
+
+TEST(DramArray, OneWriteMaterialisesExactlyOneRow) {
+  const DramGeometry g = hbm2e_geometry();
+  DramArray array(g);
+  array.write_word(9, 4, 2, 77);
+  EXPECT_EQ(array.rows_materialised(), 1u);
+  // The rest of the written row, and its neighbours, still read zero.
+  EXPECT_EQ(array.read_word(9, 4, 2), 77u);
+  EXPECT_EQ(array.read_word(9, 4, 3), 0u);
+  EXPECT_EQ(array.read_word(8, 4, 2), 0u);
+  EXPECT_EQ(array.read_word(10, 4, 2), 0u);
+  // Further writes to the same row reuse its storage.
+  array.write_atom(9, 0, std::vector<std::uint32_t>(8, 5));
+  array.write_linear(9 * g.words_per_row() + 100, 6);
+  EXPECT_EQ(array.rows_materialised(), 1u);
+  array.write_linear(10 * g.words_per_row(), 1);
+  EXPECT_EQ(array.rows_materialised(), 2u);
+}
+
+TEST(DramArray, LinearAndAtomAddressingAgree) {
+  DramGeometry g = hbm2e_geometry();
+  g.rows_per_bank = 8;
+  DramArray array(g);
+  // Fill rows 2 and 5 through linear addressing, read back by atom.
+  for (const std::uint32_t row : {2u, 5u})
+    for (std::size_t w = 0; w < g.words_per_row(); ++w)
+      array.write_linear(row * g.words_per_row() + w,
+                         static_cast<std::uint32_t>(row * 1000 + w));
+  EXPECT_EQ(array.rows_materialised(), 2u);
+  for (const std::uint32_t row : {2u, 5u})
+    for (std::uint32_t atom = 0; atom < g.atoms_per_row; ++atom) {
+      const auto view = array.read_atom(row, atom);
+      for (std::uint32_t lane = 0; lane < view.size(); ++lane) {
+        const std::size_t w = atom * g.words_per_atom() + lane;
+        EXPECT_EQ(view[lane], row * 1000 + w);
+        EXPECT_EQ(array.read_word(row, atom, lane), view[lane]);
+      }
+    }
+  // ...and the reverse: atom writes are visible at their linear indices.
+  array.write_atom(3, 31, std::vector<std::uint32_t>{1, 2, 3, 4, 5, 6, 7, 8});
+  const std::size_t base = 3 * g.words_per_row() + 31 * g.words_per_atom();
+  for (std::uint32_t lane = 0; lane < 8; ++lane)
+    EXPECT_EQ(array.read_linear(base + lane), lane + 1);
 }
 
 // ------------------------------------------------------------- bank timing
